@@ -1,16 +1,42 @@
 #include "linalg/solve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-
-#include "support/parallel.h"
 
 namespace milr {
 namespace {
 
 // Relative threshold under which a pivot / diagonal entry is treated as zero.
 constexpr double kSingularRel = 1e-12;
+
+// Applies the Householder reflector H = I − τ·v·vᵀ stored in column k of
+// `qr` (v_k = 1 implicit, v_r = qr(r, k) below) to columns [col_begin, end)
+// of `target`, whose rows k.. line up with v. Row-major: the dot products
+// vᵀ·target[:, c] for all columns accumulate together, one contiguous row
+// at a time, in the same order a per-column loop would sum them.
+void ApplyReflector(const Matrix& qr, std::size_t k, double tau,
+                    Matrix& target, std::size_t col_begin,
+                    std::vector<double>& scale) {
+  const std::size_t m = qr.rows();
+  const std::size_t width = target.cols() - col_begin;
+  if (width == 0) return;
+  scale.assign(target.row(k) + col_begin, target.row(k) + target.cols());
+  for (std::size_t r = k + 1; r < m; ++r) {
+    const double v = qr.at(r, k);
+    const double* row = target.row(r) + col_begin;
+    for (std::size_t c = 0; c < width; ++c) scale[c] += v * row[c];
+  }
+  for (double& s : scale) s *= tau;
+  double* krow = target.row(k) + col_begin;
+  for (std::size_t c = 0; c < width; ++c) krow[c] -= scale[c];
+  for (std::size_t r = k + 1; r < m; ++r) {
+    const double v = qr.at(r, k);
+    double* row = target.row(r) + col_begin;
+    for (std::size_t c = 0; c < width; ++c) row[c] -= scale[c] * v;
+  }
+}
 
 }  // namespace
 
@@ -46,21 +72,21 @@ Result<LuFactorization> LuFactorization::Compute(const Matrix& a) {
                     "LU: singular at column " + std::to_string(k));
     }
     if (pivot != k) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu.at(k, c), lu.at(pivot, c));
-      }
+      std::swap_ranges(lu.row(k), lu.row(k) + n, lu.row(pivot));
       std::swap(f.perm_[k], f.perm_[pivot]);
     }
     const double pivot_val = lu.at(k, k);
     const double* krow = lu.row(k);
-    // Trailing update is the O(n³) hot loop; parallelize across rows.
-    ParallelFor(k + 1, n, [&lu, krow, pivot_val, k, n](std::size_t r) {
+    // Trailing update, row by row with a contiguous inner loop. Serial on
+    // purpose: at recovery sizes, spawning threads for every pivot costs
+    // more than it saves.
+    for (std::size_t r = k + 1; r < n; ++r) {
       double* rrow = lu.row(r);
       const double factor = rrow[k] / pivot_val;
       rrow[k] = factor;
-      if (factor == 0.0) return;
+      if (factor == 0.0) continue;
       for (std::size_t c = k + 1; c < n; ++c) rrow[c] -= factor * krow[c];
-    }, /*grain=*/16);
+    }
   }
   return f;
 }
@@ -123,6 +149,7 @@ Result<QrFactorization> QrFactorization::Compute(const Matrix& a) {
   for (const double v : a.flat()) max_abs = std::max(max_abs, std::abs(v));
   const double tiny = std::max(max_abs, 1.0) * kSingularRel;
 
+  std::vector<double> scratch;
   for (std::size_t k = 0; k < n; ++k) {
     // Build the Householder reflector for column k.
     double norm_sq = 0.0;
@@ -142,19 +169,7 @@ Result<QrFactorization> QrFactorization::Compute(const Matrix& a) {
     f.tau_[k] = -v0 / alpha;  // equals 2 / (vᵀv) with v0-scaling
     qr.at(k, k) = alpha;
 
-    // Apply the reflector to the trailing columns (parallel across columns).
-    const double tau = f.tau_[k];
-    ParallelFor(k + 1, n, [&qr, tau, k, m](std::size_t c) {
-      double dot = qr.at(k, c);
-      for (std::size_t r = k + 1; r < m; ++r) {
-        dot += qr.at(r, k) * qr.at(r, c);
-      }
-      const double scale = tau * dot;
-      qr.at(k, c) -= scale;
-      for (std::size_t r = k + 1; r < m; ++r) {
-        qr.at(r, c) -= scale * qr.at(r, k);
-      }
-    }, /*grain=*/4);
+    ApplyReflector(qr, k, f.tau_[k], qr, k + 1, scratch);
   }
   return f;
 }
@@ -167,20 +182,10 @@ Matrix QrFactorization::SolveLeastSquares(const Matrix& rhs) const {
   }
   const std::size_t k = rhs.cols();
   Matrix y = rhs;
-  // Apply reflectors: y := Qᵀ·y, column-parallel.
+  // Apply reflectors: y := Qᵀ·y.
+  std::vector<double> scratch;
   for (std::size_t j = 0; j < n; ++j) {
-    const double tau = tau_[j];
-    ParallelFor(0, k, [this, &y, tau, j, m](std::size_t c) {
-      double dot = y.at(j, c);
-      for (std::size_t r = j + 1; r < m; ++r) {
-        dot += qr_.at(r, j) * y.at(r, c);
-      }
-      const double scale = tau * dot;
-      y.at(j, c) -= scale;
-      for (std::size_t r = j + 1; r < m; ++r) {
-        y.at(r, c) -= scale * qr_.at(r, j);
-      }
-    }, /*grain=*/8);
+    ApplyReflector(qr_, j, tau_[j], y, 0, scratch);
   }
   // Back substitution on R (top n rows of y).
   Matrix x(n, k);

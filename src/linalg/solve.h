@@ -2,8 +2,10 @@
 // recovery functions (Equations 2 and 3 of the paper).
 //
 // Three regimes appear in MILR:
-//  * square well-posed systems  — dense-layer backward/solving with exactly
-//    as many PRNG equations as unknowns → LU with partial pivoting;
+//  * square well-posed systems  — dense- and conv-layer backward passes with
+//    exactly as many equations as unknowns → LU with partial pivoting (dense
+//    parameter solving needs no factorization: its dummy rows are an
+//    orthonormal DCT basis, see linalg/dct.h);
 //  * overdetermined systems     — conv-layer filter solving where G² > F²Z
 //    equations cover F²Z unknowns → Householder-QR least squares;
 //  * underdetermined systems    — whole-layer corruption of a

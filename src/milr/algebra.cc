@@ -2,13 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <functional>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
+#include "linalg/dct.h"
 #include "support/parallel.h"
 #include "support/prng.h"
 
 namespace milr::core {
+namespace {
+
+// Weight columns per task of the column-wise transforms: a task's strided
+// gathers then touch 16 contiguous floats (one cache line) of every row of
+// the row-major (N, P) tensors.
+constexpr std::size_t kColumnBlock = 16;
+
+// Same relative singularity threshold as the LU pivot test (linalg/solve.cc).
+constexpr double kSingularRel = 1e-12;
+
+/// Calls block_fn(first, width, columns) for consecutive blocks of up to
+/// kColumnBlock of the P weight columns, in parallel. `columns` is a
+/// zeroed buffer of `width` length-N double vectors back to back, one per
+/// weight column, for the gather → transform → scatter of each block.
+void ForEachColumnBlock(
+    std::size_t p, std::size_t n,
+    const std::function<void(std::size_t, std::size_t, std::span<double>)>&
+        block_fn) {
+  const std::size_t blocks = (p + kColumnBlock - 1) / kColumnBlock;
+  ParallelFor(0, blocks, [&](std::size_t block) {
+    const std::size_t first = block * kColumnBlock;
+    const std::size_t width = std::min(kColumnBlock, p - first);
+    std::vector<double> columns(width * n);
+    block_fn(first, width, columns);
+  });
+}
+
+}  // namespace
 
 Matrix TensorToMatrix(const Tensor& t, std::size_t rows, std::size_t cols) {
   if (t.size() != rows * cols) {
@@ -57,16 +88,36 @@ float DenseDummyRowEntry(std::size_t r, std::size_t c, std::size_t n,
   return static_cast<float>(scale * std::cos(angle)) * column_sign;
 }
 
-Tensor MakeDenseDummyRows(std::size_t rows, std::size_t n,
-                          std::uint64_t seed) {
-  const std::vector<float> signs = DenseDummyColumnSigns(n, seed);
-  Tensor out(Shape{rows, n});
-  ParallelFor(0, rows, [&](std::size_t r) {
-    float* row = out.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) {
-      row[c] = DenseDummyRowEntry(r, c, n, signs[c]);
+Tensor DenseDummyRowOutputs(const nn::DenseLayer& dense, std::size_t rows,
+                            std::uint64_t row_seed) {
+  const std::size_t n = dense.in_features();
+  const std::size_t p = dense.out_features();
+  if (rows > n) {
+    throw std::invalid_argument("DenseDummyRowOutputs: more rows than inputs");
+  }
+  const std::vector<float> signs = DenseDummyColumnSigns(n, row_seed);
+  const DctPlan dct(n);
+  const float* w = dense.weights().data();
+  Tensor out(Shape{rows, p});
+  float* y = out.data();
+  // (A·W)[:, j] = DCT-II(sign ⊙ W[:, j]).
+  ForEachColumnBlock(p, n, [&](std::size_t first, std::size_t width,
+                               std::span<double> columns) {
+    for (std::size_t r = 0; r < n; ++r) {
+      const double sign = signs[r];
+      const float* wrow = w + r * p + first;
+      for (std::size_t j = 0; j < width; ++j) {
+        columns[j * n + r] = sign * static_cast<double>(wrow[j]);
+      }
     }
-  }, /*grain=*/4);
+    dct.Dct2(columns);
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* yrow = y + r * p + first;
+      for (std::size_t j = 0; j < width; ++j) {
+        yrow[j] = static_cast<float>(columns[j * n + r]);
+      }
+    }
+  });
   return out;
 }
 
@@ -137,58 +188,63 @@ Result<Tensor> DenseSolveParams(const nn::DenseLayer& dense,
     return Status(StatusCode::kInvalidArgument,
                   "DenseSolveParams: dummy outputs shape mismatch");
   }
-  // With dummy_rows ≥ N the system is complete without the propagated pair
-  // (self-contained mode); otherwise the canonical golden row leads.
-  const bool use_real_pair = dummy_rows < n;
-  if (!use_real_pair && dummy_rows == n) {
-    // Fast exact path: the dummy-row matrix A is orthogonal (DCT basis with
-    // column sign flips), so W = Aᵀ·Y — no factorization needed, and the
-    // conditioning is perfect. Parallel over output rows, double
-    // accumulation.
-    const std::vector<float> signs = DenseDummyColumnSigns(n, row_seed);
-    Tensor w(Shape{n, p});
-    ParallelFor(0, n, [&](std::size_t c) {
-      std::vector<double> acc(p, 0.0);
-      for (std::size_t r = 0; r < n; ++r) {
-        const double a = DenseDummyRowEntry(r, c, n, signs[c]);
-        const float* yrow = dummy_outputs.data() + r * p;
-        for (std::size_t j = 0; j < p; ++j) {
-          acc[j] += a * static_cast<double>(yrow[j]);
-        }
-      }
-      float* wrow = w.data() + c * p;
-      for (std::size_t j = 0; j < p; ++j) {
-        wrow[j] = static_cast<float>(acc[j]);
-      }
-    }, /*grain=*/8);
-    return w;
+  if (dummy_rows > n) {
+    return Status(StatusCode::kInvalidArgument,
+                  "DenseSolveParams: more dummy rows than inputs");
   }
-  const std::size_t rows = (use_real_pair ? 1 : 0) + dummy_rows;
-  if (rows < n) {
+  if (dummy_rows + 1 < n) {
     return Status(StatusCode::kUnsolvable,
                   "DenseSolveParams: not enough equations (M < N)");
   }
-  Matrix a(rows, n);
-  Matrix rhs(rows, p);
-  const std::size_t base = use_real_pair ? 1 : 0;
+  const std::vector<float> signs = DenseDummyColumnSigns(n, row_seed);
+  const DctPlan dct(n);
+  // Paper mode: x·a_r for every basis row r, from one DCT-II of sign ⊙ x.
+  const bool use_real_pair = dummy_rows < n;
+  std::vector<double> xa;
   if (use_real_pair) {
-    for (std::size_t c = 0; c < n; ++c) a.at(0, c) = x_real[c];
-    for (std::size_t c = 0; c < p; ++c) rhs.at(0, c) = y_real[c];
-  }
-  if (dummy_rows > 0) {
-    const Tensor dummy = MakeDenseDummyRows(dummy_rows, n, row_seed);
-    for (std::size_t r = 0; r < dummy_rows; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        a.at(base + r, c) = static_cast<double>(dummy.at(r, c));
-      }
-      for (std::size_t c = 0; c < p; ++c) {
-        rhs.at(base + r, c) = static_cast<double>(dummy_outputs[r * p + c]);
-      }
+    xa.resize(n);
+    double max_abs = 1.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      xa[c] = static_cast<double>(signs[c]) * static_cast<double>(x_real[c]);
+      max_abs = std::max(max_abs, std::abs(xa[c]));
+    }
+    dct.Dct2(xa);
+    if (!(std::abs(xa[n - 1]) > max_abs * kSingularRel)) {
+      return Status(StatusCode::kUnsolvable,
+                    "DenseSolveParams: real pair lies in the span of the "
+                    "dummy rows");
     }
   }
-  auto solved = rows == n ? SolveLinear(a, rhs) : SolveLeastSquares(a, rhs);
-  if (!solved.ok()) return solved.status();
-  return MatrixToTensor(solved.value(), Shape{n, p});
+  const float* y = dummy_outputs.data();
+  Tensor w(Shape{n, p});
+  float* out = w.data();
+  // W[:, j] = sign ⊙ DCT-III([Y[:, j]; z_j]).
+  ForEachColumnBlock(p, n, [&](std::size_t first, std::size_t width,
+                               std::span<double> columns) {
+    for (std::size_t r = 0; r < dummy_rows; ++r) {
+      const float* yrow = y + r * p + first;
+      for (std::size_t j = 0; j < width; ++j) {
+        columns[j * n + r] = static_cast<double>(yrow[j]);
+      }
+    }
+    if (use_real_pair) {
+      for (std::size_t j = 0; j < width; ++j) {
+        double* column = columns.data() + j * n;
+        double residual = static_cast<double>(y_real[first + j]);
+        for (std::size_t r = 0; r + 1 < n; ++r) residual -= xa[r] * column[r];
+        column[n - 1] = residual / xa[n - 1];
+      }
+    }
+    dct.Dct3(columns);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double sign = signs[r];
+      float* wrow = out + r * p + first;
+      for (std::size_t j = 0; j < width; ++j) {
+        wrow[j] = static_cast<float>(sign * columns[j * n + r]);
+      }
+    }
+  });
+  return w;
 }
 
 Result<Tensor> ConvBackward(const nn::Conv2DLayer& conv, const Tensor& y,

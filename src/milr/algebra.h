@@ -30,26 +30,31 @@ Tensor MatrixToTensor(const Matrix& m, Shape shape);
 Tensor MakeDenseDummyColumns(std::size_t n, std::size_t alpha,
                              std::uint64_t seed);
 
-/// Seed-regenerable dummy input rows for dense solving: shape (rows, N).
+/// Seed-regenerable dummy input rows for dense solving. The dummy-row matrix
+/// A (rows ≤ N rows of length N) is the orthonormal DCT-II basis with
+/// PRNG-seeded column sign flips: A[r][c] = s_r·cos(π(2c+1)r/2N)·sign[c],
+/// s_0 = √(1/N), s_r = √(2/N).
 ///
 /// The rows are NOT raw uniforms: at N in the thousands a uniform random
 /// square system has condition number ~1e4-1e5, which amplifies the float32
 /// rounding of the stored golden outputs into weight errors large enough to
-/// hurt accuracy (the paper's §V-A "large systems of equations" caveat). We
-/// instead use rows of a DCT-II orthonormal basis with PRNG-seeded column
-/// sign flips — equally regenerable from the seed alone, but perfectly
-/// conditioned (κ = 1 when rows == N), so recovery is exact to float
-/// rounding and solvable by a transpose multiply instead of an LU.
-Tensor MakeDenseDummyRows(std::size_t rows, std::size_t n, std::uint64_t seed);
-
-/// Element (r, c) of the dummy-row matrix above, exactly as stored in the
-/// tensor (float-rounded). Lets the solver stream the matrix without
-/// materializing N² entries.
+/// hurt accuracy (the paper's §V-A "large systems of equations" caveat). The
+/// DCT rows are equally regenerable from the seed alone but perfectly
+/// conditioned (κ = 1 when rows == N), and A·W and Aᵀ·Y are fast transforms
+/// (linalg/dct.h), so A is never materialized.
+///
+/// Element (r, c) of A, rounded to float.
 float DenseDummyRowEntry(std::size_t r, std::size_t c, std::size_t n,
                          float column_sign);
 
-/// The PRNG column signs (±1) for the dummy-row matrix.
+/// The PRNG column signs (±1) of A.
 std::vector<float> DenseDummyColumnSigns(std::size_t n, std::uint64_t seed);
+
+/// Golden outputs of the first `rows` dummy input rows (rows ≤ N):
+/// the (rows, P) product A·W, computed in double as one DCT-II per weight
+/// column (O(P·N log N), no N×N matrix) and rounded to float.
+Tensor DenseDummyRowOutputs(const nn::DenseLayer& dense, std::size_t rows,
+                            std::uint64_t row_seed);
 
 /// PRNG dummy filters for conv backward: shape (F,F,Z,alpha).
 Tensor MakeConvDummyFilters(const nn::Conv2DLayer& conv, std::size_t alpha,
@@ -65,9 +70,17 @@ Result<Tensor> DenseBackward(const nn::DenseLayer& dense, const Tensor& y,
                              std::size_t dummy_count, std::uint64_t dummy_seed,
                              std::span<const float> dummy_outputs);
 
-/// Parameter solving (R): recovers W (N,P) from the canonical golden pair
-/// (x_real, y_real) plus `dummy_rows` PRNG input rows whose golden outputs
-/// were stored at init (Section IV-A b).
+/// Parameter solving (R): recovers W (N,P) from `dummy_rows` dummy input
+/// rows whose golden outputs `dummy_outputs` (dummy_rows, P) were stored at
+/// init (Section IV-A b), as one DCT-III per weight column.
+///  * dummy_rows == N (self-contained extension): W = Aᵀ·Y; the real pair
+///    is not used.
+///  * dummy_rows == N − 1 (paper): the canonical golden pair (x_real,
+///    y_real) stands in for A's missing last row a_{N−1}. With the full
+///    basis, W = Aᵀ·[Y; z] where z = a_{N−1}·W is fixed by x·W = y:
+///    z = (y − Σ_{r<N−1} (x·a_r)·Y_r) / (x·a_{N−1}). kUnsolvable when
+///    x·a_{N−1} vanishes (x is in the span of the dummy rows).
+/// Fewer rows are kUnsolvable; more are kInvalidArgument.
 Result<Tensor> DenseSolveParams(const nn::DenseLayer& dense,
                                 const Tensor& x_real, const Tensor& y_real,
                                 std::size_t dummy_rows, std::uint64_t row_seed,

@@ -94,9 +94,8 @@ void MilrProtector::Initialize() {
       case SolveMode::kDense: {
         const auto& dense = static_cast<const nn::DenseLayer&>(layer);
         if (lp.solve_dummy_rows > 0) {
-          const Tensor rows = MakeDenseDummyRows(
-              lp.solve_dummy_rows, dense.in_features(), gold.solve_seed);
-          gold.dense_solve_outputs = dense.Forward(rows);
+          gold.dense_solve_outputs = DenseDummyRowOutputs(
+              dense, lp.solve_dummy_rows, gold.solve_seed);
         }
         if (lp.backward == BackwardMode::kDenseAugmented) {
           // Golden outputs of the dummy parameter columns for the canonical

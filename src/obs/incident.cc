@@ -195,7 +195,8 @@ std::uint64_t IncidentJournal::WriteTraceLocked(std::uint64_t id,
 
 void IncidentJournal::CloseIncident(std::uint64_t id, bool recovered,
                                     double downtime_seconds,
-                                    std::size_t layers_recovered,
+                                    std::vector<std::size_t> recovered_layers,
+                                    std::uint64_t weights_touched,
                                     std::string detail) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = incidents_.rbegin(); it != incidents_.rend(); ++it) {
@@ -204,13 +205,15 @@ void IncidentJournal::CloseIncident(std::uint64_t id, bool recovered,
     it->recovered = recovered;
     it->closed_wall_ms = WallMillis();
     it->downtime_seconds = downtime_seconds;
-    it->layers_recovered = layers_recovered;
+    it->layers_recovered = recovered_layers.size();
     IncidentEvent closing;
     closing.kind = recovered ? IncidentEventKind::kRecovery
                              : IncidentEventKind::kFailedRecovery;
     closing.model = it->model;
     closing.wall_ms = it->closed_wall_ms;
     closing.detail = std::move(detail);
+    closing.layers = std::move(recovered_layers);
+    closing.weights_touched = weights_touched;
     closing.downtime_seconds = downtime_seconds;
     it->events.push_back(std::move(closing));
     return;

@@ -107,11 +107,14 @@ class IncidentJournal {
                              std::string cause,
                              std::vector<std::size_t> layers = {});
 
-  /// Closes incident `id` with the repair verdict. Unknown ids (already
-  /// evicted from the bounded ring) are ignored.
+  /// Closes incident `id` with the repair verdict, the layers repaired and
+  /// the parameter values the repair rewrote; both land on the closing
+  /// recovery event. Unknown ids (already evicted from the bounded ring)
+  /// are ignored.
   void CloseIncident(std::uint64_t id, bool recovered,
-                     double downtime_seconds, std::size_t layers_recovered,
-                     std::string detail = {});
+                     double downtime_seconds,
+                     std::vector<std::size_t> recovered_layers,
+                     std::uint64_t weights_touched, std::string detail = {});
 
   /// Appends an event to an open incident (no-op for unknown ids).
   void AppendToIncident(std::uint64_t id, IncidentEvent event);

@@ -190,6 +190,8 @@ ScrubReport ModelRuntime::ScrubCycle() {
         detection.flagged_layers);
   }
 
+  std::vector<std::size_t> repaired_layers;
+  std::uint64_t weights_touched = 0;
   Stopwatch outage;
   {
     obs::TraceSpan quarantine_span("quarantine", "scrub",
@@ -201,8 +203,10 @@ ScrubReport ModelRuntime::ScrubCycle() {
     if (detection.any()) {
       const auto recovery = protector_->Recover(detection);
       for (const auto& layer : recovery.layers) {
+        weights_touched += layer.weights_changed;
         if (layer.status.ok()) {
           ++report.recovered_layers;
+          repaired_layers.push_back(layer.layer_index);
         } else {
           report.recovery_ok = false;
         }
@@ -234,7 +238,7 @@ ScrubReport ModelRuntime::ScrubCycle() {
   if (journal && incident_id != 0) {
     journal->CloseIncident(
         incident_id, report.recovery_ok, report.outage_seconds,
-        report.recovered_layers,
+        std::move(repaired_layers), weights_touched,
         report.recovery_ok
             ? "online recovery repaired " +
                   std::to_string(report.recovered_layers) + " layer(s)"

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "dense_dummy_oracle.h"
+#include "linalg/dct.h"
 #include "milr/algebra.h"
 #include "support/bytes.h"
+#include "support/parallel.h"
 #include "support/prng.h"
 
 namespace milr::core {
@@ -116,6 +123,215 @@ TEST(DenseSolveTest, TooFewRowsRejected) {
                                  3, 0, Tensor(Shape{3, 3}));
   ASSERT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kUnsolvable);
+}
+
+// ------------------------------------------------------------- fast DCT
+
+// Explicit O(n²) orthonormal DCT-II (inverse = false) or DCT-III (inverse =
+// true). The angles π·m/2n come from an exact table indexed by
+// (2c+1)·k mod 4n, so the oracle's own error stays at rounding level.
+std::vector<double> ExplicitDct(const std::vector<double>& in, bool inverse) {
+  const std::size_t n = in.size();
+  constexpr double kPi = 3.14159265358979323846;
+  std::vector<double> cosines(4 * n);
+  for (std::size_t m = 0; m < 4 * n; ++m) {
+    cosines[m] = std::cos(kPi * static_cast<double>(m) /
+                          (2.0 * static_cast<double>(n)));
+  }
+  const auto scale = [n](std::size_t k) {
+    return std::sqrt((k == 0 ? 1.0 : 2.0) / static_cast<double>(n));
+  };
+  std::vector<double> out(n, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const double basis = scale(k) * cosines[((2 * c + 1) * k) % (4 * n)];
+      if (inverse) {
+        out[c] += basis * in[k];
+      } else {
+        out[k] += basis * in[c];
+      }
+    }
+  }
+  return out;
+}
+
+double Norm(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x * x;
+  return std::sqrt(sum);
+}
+
+double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    worst = std::max(worst, std::abs(a[i] - b[i]));
+  }
+  return worst;
+}
+
+class DctTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DctTest, MatchesExplicitTransformsAndRoundTrips) {
+  // 97 and 131 are primes above Fft::kMaxDirectRadix (Bluestein over a
+  // radix-4 and a radix-4·2 inner FFT); 7, 49 = 7² and 126 = 2·3²·7 take
+  // the direct odd-prime butterfly; 6400 = 4⁴·5² is the mnist dense layer.
+  // Three vectors per call: a pair sharing one complex FFT plus an odd one.
+  const std::size_t n = GetParam();
+  constexpr std::size_t kVectors = 3;
+  Prng prng(1000 + n);
+  std::vector<double> x(kVectors * n);
+  for (auto& v : x) v = prng.NextDouble() * 2.0 - 1.0;
+  const auto slice = [n](const std::vector<double>& all, std::size_t i) {
+    return std::vector<double>(all.begin() + i * n, all.begin() + (i + 1) * n);
+  };
+  const DctPlan plan(n);
+  std::vector<double> forward = x;
+  plan.Dct2(forward);
+  std::vector<double> inverse = x;
+  plan.Dct3(inverse);
+  std::vector<double> round_trip = forward;
+  plan.Dct3(round_trip);
+  for (std::size_t i = 0; i < kVectors; ++i) {
+    const std::vector<double> xi = slice(x, i);
+    const double bound = 1e-12 * Norm(xi);
+    EXPECT_LE(MaxAbsDiff(slice(forward, i), ExplicitDct(xi, false)), bound)
+        << "DCT-II n=" << n << " vector " << i;
+    EXPECT_LE(MaxAbsDiff(slice(inverse, i), ExplicitDct(xi, true)), bound)
+        << "DCT-III n=" << n << " vector " << i;
+    EXPECT_LE(MaxAbsDiff(slice(round_trip, i), xi), bound)
+        << "round trip n=" << n << " vector " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, DctTest,
+                         ::testing::Values(1, 2, 3, 5, 7, 12, 16, 49, 97,
+                                           126, 131, 320, 2048, 6400));
+
+TEST(DctTest, RejectsMismatchedBuffer) {
+  const DctPlan plan(8);
+  std::vector<double> x(12);
+  EXPECT_THROW(plan.Dct2(x), std::invalid_argument);
+  EXPECT_THROW(plan.Dct3(x), std::invalid_argument);
+  EXPECT_THROW(DctPlan(0), std::invalid_argument);
+}
+
+// ----------------------------------------- dense R against explicit A
+
+float MaxAbs(const Tensor& t) {
+  float worst = 0.0f;
+  for (const float v : t.flat()) worst = std::max(worst, std::abs(v));
+  return worst;
+}
+
+struct DenseCase {
+  std::size_t n, p;
+};
+
+class DenseTransformTest : public ::testing::TestWithParam<DenseCase> {};
+
+TEST_P(DenseTransformTest, InitOutputsMatchExplicitRows) {
+  // Golden outputs A·W from the transform equal the exact forward pass over
+  // the materialized rows, up to that pass's float32 accumulation of N
+  // terms (bounded here by 2·ε·√N of the largest output).
+  const auto [n, p] = GetParam();
+  nn::DenseLayer dense(n, p);
+  dense.weights() = RandomT(Shape{n, p}, 300 + n);
+  const float tolerance =
+      2.0f * std::numeric_limits<float>::epsilon() *
+      std::sqrt(static_cast<float>(n));
+  for (const std::size_t rows : {n, n - 1}) {
+    const Tensor fast = DenseDummyRowOutputs(dense, rows, 301 + n);
+    const Tensor oracle = dense.Forward(MakeDenseDummyRows(rows, n, 301 + n));
+    ASSERT_EQ(fast.shape(), oracle.shape());
+    EXPECT_LE(MaxAbsDiff(fast, oracle), tolerance * MaxAbs(oracle))
+        << "N=" << n << " rows=" << rows;
+  }
+}
+
+TEST_P(DenseTransformTest, SolveMatchesExplicitPathInBothModes) {
+  const auto [n, p] = GetParam();
+  nn::DenseLayer dense(n, p);
+  dense.weights() = RandomT(Shape{n, p}, 400 + n);
+  const Tensor golden = dense.weights();
+  const float tolerance = 2e-6f * std::max(1.0f, MaxAbs(golden));
+  const Tensor x = RandomT(Shape{n}, 401 + n);
+  const Tensor y = dense.Forward(x);
+  const std::uint64_t seed = 402 + n;
+  // Self-contained (N rows) and paper (N − 1 rows plus the real pair).
+  for (const std::size_t rows : {n, n - 1}) {
+    if (rows == n - 1 && n > 512) continue;  // the LU oracle is O(N³)
+    const Tensor outputs = DenseDummyRowOutputs(dense, rows, seed);
+    auto fast = DenseSolveParams(dense, x, y, rows, seed, outputs);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    auto oracle =
+        DenseSolveParamsExplicit(n, p, x, y, rows, seed, outputs);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_LT(MaxAbsDiff(fast.value(), oracle.value()), tolerance)
+        << "N=" << n << " rows=" << rows;
+    EXPECT_LT(MaxAbsDiff(fast.value(), golden), tolerance)
+        << "N=" << n << " rows=" << rows;
+  }
+}
+
+TEST_P(DenseTransformTest, ThreadCountDoesNotChangeResults) {
+  // Each column's transform is independent of how columns are split over
+  // threads, so a serial run reproduces the parallel one bit for bit.
+  const auto [n, p] = GetParam();
+  nn::DenseLayer dense(n, p);
+  dense.weights() = RandomT(Shape{n, p}, 500 + n);
+  const Tensor x = RandomT(Shape{n}, 501 + n);
+  const Tensor y = dense.Forward(x);
+  const auto run = [&] {
+    std::vector<Tensor> results;
+    for (const std::size_t rows : {n, n - 1}) {
+      const Tensor outputs = DenseDummyRowOutputs(dense, rows, 502 + n);
+      results.push_back(outputs);
+      auto solved = DenseSolveParams(dense, x, y, rows, 502 + n, outputs);
+      EXPECT_TRUE(solved.ok()) << solved.status().ToString();
+      if (solved.ok()) results.push_back(std::move(solved).value());
+    }
+    return results;
+  };
+  const std::vector<Tensor> parallel = run();
+  std::vector<Tensor> serial;
+  {
+    const SerialRegionGuard guard;
+    serial = run();
+  }
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    ASSERT_EQ(parallel[i].size(), serial[i].size());
+    for (std::size_t k = 0; k < parallel[i].size(); ++k) {
+      ASSERT_EQ(FloatBits(parallel[i][k]), FloatBits(serial[i][k]))
+          << "result " << i << " entry " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, DenseTransformTest,
+                         ::testing::Values(DenseCase{1, 3}, DenseCase{12, 7},
+                                           DenseCase{97, 5},
+                                           DenseCase{320, 33},
+                                           DenseCase{2048, 3}));
+
+TEST(DenseSolveTest, PaperModeRejectsRealPairInDummySpan) {
+  // x = 0 has no component along the missing basis row a_{N−1}, so the
+  // rank-one correction has nothing to divide by: the system is singular.
+  nn::DenseLayer dense(16, 4);
+  dense.weights() = RandomT(Shape{16, 4}, 600);
+  const Tensor outputs = DenseDummyRowOutputs(dense, 15, 601);
+  auto solved = DenseSolveParams(dense, Tensor(Shape{16}), Tensor(Shape{4}),
+                                 15, 601, outputs);
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.status().code(), StatusCode::kUnsolvable);
+}
+
+TEST(DenseSolveTest, MoreRowsThanInputsRejected) {
+  nn::DenseLayer dense(4, 2);
+  auto solved = DenseSolveParams(dense, Tensor(Shape{4}), Tensor(Shape{2}),
+                                 5, 0, Tensor(Shape{5, 2}));
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------- conv f⁻¹

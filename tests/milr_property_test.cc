@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "dense_dummy_oracle.h"
 #include "memory/fault_injector.h"
 #include "milr/algebra.h"
 #include "milr/protector.h"
@@ -149,6 +150,54 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{5, 1, 25, 11, nn::Padding::kSame},
                       ConvCase{3, 4, 8, 10, nn::Padding::kValid},
                       ConvCase{5, 2, 50, 12, nn::Padding::kValid}));
+
+// ------------------------------------------------- deep square MLP bias
+
+/// He-init 256→320→320→320→256→10 MLP with seeded biases in ±0.05: every
+/// bias between two square-ish dense layers is recovered from a golden
+/// output propagated backward through the exact dense inverses behind it.
+nn::Model SquareMlp() {
+  nn::Model model(Shape{256});
+  for (const std::size_t width : {320, 320, 320, 256}) {
+    model.AddDense(width).AddBias().AddReLU();
+  }
+  model.AddDense(10).AddBias();
+  nn::InitHeUniform(model, 2024);
+  Prng prng(2025);
+  for (std::size_t i = 0; i < model.LayerCount(); ++i) {
+    if (model.layer(i).kind() != nn::LayerKind::kBias) continue;
+    for (float& b : model.layer(i).Params()) b = prng.NextFloat(-0.05f, 0.05f);
+  }
+  return model;
+}
+
+class SquareMlpBias : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SquareMlpBias, OneLargeErrorHeals) {
+  GTEST_SKIP() << "known defect: the golden output of a bias between "
+                  "square dense layers is propagated backward through "
+                  "every dense inverse up to the next checkpoint, and each "
+                  "inverse amplifies the float32 rounding of the anchor "
+                  "(bias_1 lands 1.2 off, bias_4 2.8e-2, bias_7 4.9e-3, "
+                  "and the layer stays flagged)";
+  nn::Model model = SquareMlp();
+  const std::size_t layer = GetParam();
+  ASSERT_EQ(model.layer(layer).kind(), nn::LayerKind::kBias);
+  const auto golden = model.SnapshotParams();
+  MilrProtector protector(model, ExtendedMilrConfig());
+  model.layer(layer).Params()[7] += 5.0f;
+  protector.DetectAndRecover();
+  const auto params = model.layer(layer).Params();
+  float worst = 0.0f;
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    worst = std::max(worst, std::abs(params[p] - golden[layer][p]));
+  }
+  // Golden biases are at most 0.05; recovery must land at float rounding.
+  EXPECT_LT(worst, 1e-5f) << "bias_" << layer;
+  EXPECT_FALSE(protector.Detect().any()) << "bias_" << layer;
+}
+
+INSTANTIATE_TEST_SUITE_P(Layers, SquareMlpBias, ::testing::Values(1, 4, 7));
 
 // -------------------------------------------- random architecture sweep
 

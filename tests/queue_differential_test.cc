@@ -65,7 +65,9 @@ TEST(QueueDifferentialTest, SequentialScriptMatchesOracleExactly) {
         const auto a = oracle.Pop();
         const auto b = ring.Pop();
         ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
-        if (a.has_value()) ASSERT_EQ(*a, *b) << "op " << op;
+        if (a.has_value()) {
+          ASSERT_EQ(*a, *b) << "op " << op;
+        }
       }
     } else if (roll < 85) {
       std::vector<int> a, b;

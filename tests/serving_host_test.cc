@@ -404,11 +404,13 @@ TEST(ServingHostTest, EveryQuarantineOpensAndClosesOneIncidentWithTrace) {
 
   constexpr std::size_t kCampaigns = 3;
   Prng prng(37);
+  std::size_t corrupted_per_campaign = 0;
   for (std::size_t i = 0; i < kCampaigns; ++i) {
     for (const auto& probe : probes) handle->Predict(probe);
-    handle->InjectFault([&](nn::Model& live) {
-      return memory::CorruptWholeLayer(live, 0, prng);
-    });
+    corrupted_per_campaign =
+        handle->InjectFault([&](nn::Model& live) {
+          return memory::CorruptWholeLayer(live, 0, prng);
+        }).corrupted_weights;
     const ScrubReport report = handle->ScrubCycle();
     ASSERT_GE(report.flagged_layers, 1u) << "campaign " << i;
     ASSERT_TRUE(report.recovery_ok) << "campaign " << i;
@@ -435,6 +437,16 @@ TEST(ServingHostTest, EveryQuarantineOpensAndClosesOneIncidentWithTrace) {
     EXPECT_LT(incident.downtime_seconds, 60.0);
     EXPECT_GE(incident.layers_flagged, 1u);
     EXPECT_GE(incident.layers_recovered, 1u);
+    // The closing event names the repaired layers and counts the values
+    // the repair rewrote: every weight of layer 0 was replaced, so every
+    // one of them changes back.
+    const obs::IncidentEvent& closing = incident.events.back();
+    EXPECT_EQ(closing.kind, obs::IncidentEventKind::kRecovery);
+    EXPECT_EQ(closing.layers.size(), incident.layers_recovered);
+    EXPECT_NE(std::find(closing.layers.begin(), closing.layers.end(), 0u),
+              closing.layers.end());
+    EXPECT_GE(closing.weights_touched, corrupted_per_campaign);
+    EXPECT_GT(corrupted_per_campaign, 0u);
     ASSERT_FALSE(incident.trace_path.empty())
         << "tracing was on and a trace dir was configured";
     EXPECT_TRUE(fs::exists(incident.trace_path)) << incident.trace_path;

@@ -129,7 +129,8 @@ TEST(IncidentJournalTest, LifecycleOpenCloseRoundTrips) {
   EXPECT_EQ(journal.open_incidents(), 1u);
 
   journal.CloseIncident(id, /*recovered=*/true, /*downtime_seconds=*/0.25,
-                        /*layers_recovered=*/2, "milr recovery ok");
+                        /*recovered_layers=*/{2, 5}, /*weights_touched=*/17,
+                        "milr recovery ok");
   EXPECT_EQ(journal.open_incidents(), 0u);
 
   const auto incidents = journal.Incidents();
@@ -148,6 +149,8 @@ TEST(IncidentJournalTest, LifecycleOpenCloseRoundTrips) {
   ASSERT_EQ(incident.events.size(), 2u);
   EXPECT_EQ(incident.events.front().kind, IncidentEventKind::kQuarantine);
   EXPECT_EQ(incident.events.back().kind, IncidentEventKind::kRecovery);
+  EXPECT_EQ(incident.events.back().layers, (std::vector<std::size_t>{2, 5}));
+  EXPECT_EQ(incident.events.back().weights_touched, 17u);
 
   EXPECT_EQ(journal.Events().size(), 1u);  // the standalone detection
 }
@@ -156,7 +159,7 @@ TEST(IncidentJournalTest, FailedRecoveryClosesAsUnrecovered) {
   IncidentJournal journal;
   const std::uint64_t id =
       journal.OpenIncident(IncidentKind::kQuarantine, "m", "bad day");
-  journal.CloseIncident(id, /*recovered=*/false, 1.5, 0);
+  journal.CloseIncident(id, /*recovered=*/false, 1.5, {}, 0);
   const auto incidents = journal.Incidents();
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_FALSE(incidents.front().open);
@@ -183,7 +186,7 @@ TEST(IncidentJournalTest, BoundedCapacityDropsOldestAndCounts) {
   EXPECT_EQ(incidents.back().id, 5u);
   EXPECT_EQ(journal.Events().size(), 3u);
   // CloseIncident on an evicted id must be a harmless no-op.
-  journal.CloseIncident(1, true, 0.1, 1);
+  journal.CloseIncident(1, true, 0.1, {0}, 1);
   const std::string json = journal.ToJson();
   EXPECT_NE(json.find("\"dropped_incidents\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\": 2"), std::string::npos);
@@ -193,7 +196,7 @@ TEST(IncidentJournalTest, ToJsonEscapesAndStructures) {
   IncidentJournal journal;
   const std::uint64_t id = journal.OpenIncident(
       IncidentKind::kSloFastBurn, "model \"a\"\n", "burn\\rate");
-  journal.CloseIncident(id, true, 0.0, 0);
+  journal.CloseIncident(id, true, 0.0, {}, 0);
   const std::string json = journal.ToJson();
   EXPECT_NE(json.find("\"incidents\""), std::string::npos);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
@@ -229,7 +232,7 @@ TEST(IncidentJournalTest, OpenIncidentCapturesTraceWhenEnabled) {
   EXPECT_TRUE(fs::exists(path)) << path;
   // The slash in the model name must not escape the directory.
   EXPECT_EQ(fs::path(path).parent_path(), dir);
-  journal.CloseIncident(id, true, 0.0, 0);
+  journal.CloseIncident(id, true, 0.0, {}, 0);
   fs::remove_all(dir);
 }
 
