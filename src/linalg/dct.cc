@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace milr {
@@ -42,16 +43,15 @@ Fft::Fft(std::size_t n) : n_(n) {
     radices_.push_back(2);
     rest /= 2;
   }
-  for (std::size_t q = 3; q * q <= rest; q += 2) {
+  for (const std::size_t q : {3, 5}) {
     while (rest % q == 0) {
       radices_.push_back(q);
       rest /= q;
     }
   }
-  if (rest > 1) radices_.push_back(rest);
-  if (radices_.empty() || radices_.back() <= kMaxDirectRadix) return;
+  if (rest == 1) return;
 
-  // A large prime factor: X_k = c_k·Σ_j (x_j·c_j)·conj(c_{k−j}) with the
+  // A prime factor above 5: X_k = c_k·Σ_j (x_j·c_j)·conj(c_{k−j}) with the
   // chirp c_j = e^{−πij²/n}, a linear convolution done as a cyclic one of
   // power-of-two length m ≥ 2n − 1.
   radices_.clear();
@@ -186,27 +186,8 @@ void Fft::Butterfly(Complex* out, std::size_t radix, std::size_t m,
       }
       return;
     }
-    default: {
-      // Any other prime: a direct length-radix DFT per k.
-      const std::size_t root_stride = n_ / radix;
-      std::vector<Complex> a(radix);
-      for (std::size_t k = 0; k < m; ++k) {
-        for (std::size_t q = 0; q < radix; ++q) {
-          a[q] = Mul(out[k + q * m], tw[q * k * twiddle_stride]);
-        }
-        for (std::size_t t = 0; t < radix; ++t) {
-          Complex acc = a[0];
-          std::size_t index = 0;  // q·t mod radix
-          for (std::size_t q = 1; q < radix; ++q) {
-            index += t;
-            if (index >= radix) index -= radix;
-            acc += Mul(a[q], tw[index * root_stride]);
-          }
-          out[k + t * m] = acc;
-        }
-      }
-      return;
-    }
+    default:
+      throw std::logic_error("Fft: no butterfly for this radix");
   }
 }
 
@@ -239,67 +220,42 @@ std::size_t DctPlan::CheckedCount(std::span<const double> data) const {
 }
 
 // Makhoul's reordering v = (x_0, x_2, x_4, …, x_5, x_3, x_1) turns the
-// DCT-II into Re(e^{−iπk/2n}·FFT(v)_k), for even and odd n alike. Two real
-// vectors a, b go through one FFT of z = v_a + i·v_b and are separated by
-// Hermitian symmetry: FFT(v_a)_k = (Z_k + conj Z_{n−k}) / 2 and
-// FFT(v_b)_k = (Z_k − conj Z_{n−k}) / 2i.
+// DCT-II into Re(e^{−iπk/2n}·FFT(v)_k), for even and odd n alike.
 void DctPlan::Dct2(std::span<double> data) const {
   const std::size_t n = size();
   const std::size_t count = CheckedCount(data);
   std::vector<Complex> z(n);
   std::vector<Complex> scratch(fft_.scratch_size());
-  for (std::size_t first = 0; first < count; first += 2) {
-    double* a = data.data() + first * n;
-    double* b = first + 1 < count ? a + n : nullptr;
-    const auto pair = [a, b](std::size_t i) {
-      return Complex(a[i], b != nullptr ? b[i] : 0.0);
-    };
-    for (std::size_t m = 0; 2 * m < n; ++m) z[m] = pair(2 * m);
-    for (std::size_t m = 0; 2 * m + 1 < n; ++m) z[n - 1 - m] = pair(2 * m + 1);
+  for (std::size_t v = 0; v < count; ++v) {
+    double* x = data.data() + v * n;
+    for (std::size_t m = 0; 2 * m < n; ++m) z[m] = x[2 * m];
+    for (std::size_t m = 0; 2 * m + 1 < n; ++m) z[n - 1 - m] = x[2 * m + 1];
     fft_.Forward(z.data(), scratch.data());
     for (std::size_t k = 0; k < n; ++k) {
-      const Complex zk = z[k];
-      const Complex zc = std::conj(z[k == 0 ? 0 : n - k]);
-      a[k] = scale_[k] * Mul(shift_[k], 0.5 * (zk + zc)).real();
-      if (b != nullptr) {
-        b[k] = scale_[k] * Mul(shift_[k], MulMinusI(0.5 * (zk - zc))).real();
-      }
+      x[k] = scale_[k] * Mul(shift_[k], z[k]).real();
     }
   }
 }
 
 // Inverse of the above: with C_k = X_k / s_k, FFT(v)_k = e^{iπk/2n}·
-// (C_k − i·C_{n−k}) (C_n = 0). The two spectra are Hermitian, so one
-// inverse FFT of FFT(v_a) + i·FFT(v_b) returns v_a + i·v_b.
+// (C_k − i·C_{n−k}) (C_n = 0), and one inverse FFT returns v.
 void DctPlan::Dct3(std::span<double> data) const {
   const std::size_t n = size();
   const std::size_t count = CheckedCount(data);
   std::vector<Complex> z(n);
   std::vector<Complex> scratch(fft_.scratch_size());
-  const auto spectrum = [&](const double* x, std::size_t k) {
-    if (k == 0) return Complex(x[0] / scale_[0], 0.0);
-    const Complex c(x[k] / scale_[k], -x[n - k] / scale_[n - k]);
-    return Mul(std::conj(shift_[k]), c);
-  };
   const double inv_n = 1.0 / static_cast<double>(n);
-  for (std::size_t first = 0; first < count; first += 2) {
-    double* a = data.data() + first * n;
-    double* b = first + 1 < count ? a + n : nullptr;
-    for (std::size_t k = 0; k < n; ++k) {
-      z[k] = spectrum(a, k);
-      if (b != nullptr) {
-        const Complex vb = spectrum(b, k);
-        z[k] += Complex(-vb.imag(), vb.real());  // + i·vb
-      }
+  for (std::size_t v = 0; v < count; ++v) {
+    double* x = data.data() + v * n;
+    z[0] = x[0] / scale_[0];
+    for (std::size_t k = 1; k < n; ++k) {
+      const Complex c(x[k] / scale_[k], -x[n - k] / scale_[n - k]);
+      z[k] = Mul(std::conj(shift_[k]), c);
     }
     fft_.InverseUnscaled(z.data(), scratch.data());
-    for (std::size_t m = 0; 2 * m < n; ++m) {
-      a[2 * m] = z[m].real() * inv_n;
-      if (b != nullptr) b[2 * m] = z[m].imag() * inv_n;
-    }
+    for (std::size_t m = 0; 2 * m < n; ++m) x[2 * m] = z[m].real() * inv_n;
     for (std::size_t m = 0; 2 * m + 1 < n; ++m) {
-      a[2 * m + 1] = z[n - 1 - m].real() * inv_n;
-      if (b != nullptr) b[2 * m + 1] = z[n - 1 - m].imag() * inv_n;
+      x[2 * m + 1] = z[n - 1 - m].real() * inv_n;
     }
   }
 }

@@ -7,11 +7,11 @@
 // TASSP 1980) they cost O(n log n) per column instead of O(n²), and no n×n
 // matrix is ever formed.
 //
-// The FFT is mixed-radix: dedicated butterflies for radices 2, 3, 4 and 5, a
-// direct O(q)-per-output butterfly for other prime factors q up to
-// Fft::kMaxDirectRadix, and Bluestein's chirp-z convolution over a
-// power-of-two FFT when n has a larger prime factor. Everything is computed
-// in double, so the transforms are accurate to a few ulps of ‖x‖.
+// The FFT is mixed-radix with butterflies for radices 2, 3, 4 and 5 (the
+// dense input lengths of the models here factor into these), and falls back
+// to Bluestein's chirp-z convolution over a power-of-two FFT when n has any
+// other prime factor. Everything is computed in double, so the transforms
+// are accurate to a few ulps of ‖x‖.
 #pragma once
 
 #include <complex>
@@ -29,10 +29,6 @@ namespace milr {
 class Fft {
  public:
   using Complex = std::complex<double>;
-
-  /// Largest prime factor handled by a direct butterfly; lengths with a
-  /// larger prime factor go through Bluestein's algorithm.
-  static constexpr std::size_t kMaxDirectRadix = 61;
 
   explicit Fft(std::size_t n);
 
@@ -69,9 +65,7 @@ class Fft {
 /// with s_0 = √(1/n) and s_k = √(2/n) otherwise. Thread-safe like Fft.
 ///
 /// Both calls transform every consecutive length-n vector of `data`, whose
-/// size must be a multiple of n. The vectors are real, so two at a time
-/// share one complex FFT (one as the real part, one as the imaginary part);
-/// each result is accurate to a few ulps of the larger norm of the two.
+/// size must be a multiple of n, each through one complex FFT.
 class DctPlan {
  public:
   explicit DctPlan(std::size_t n);

@@ -8,9 +8,6 @@
 namespace milr {
 namespace {
 
-// Relative threshold under which a pivot / diagonal entry is treated as zero.
-constexpr double kSingularRel = 1e-12;
-
 // Applies the Householder reflector H = I − τ·v·vᵀ stored in column k of
 // `qr` (v_k = 1 implicit, v_r = qr(r, k) below) to columns [col_begin, end)
 // of `target`, whose rows k.. line up with v. Row-major: the dot products

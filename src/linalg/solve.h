@@ -25,6 +25,10 @@
 
 namespace milr {
 
+/// Relative threshold under which a pivot / diagonal entry is treated as
+/// zero, i.e. the system as singular.
+inline constexpr double kSingularRel = 1e-12;
+
 /// LU factorization with partial pivoting of a square matrix.
 class LuFactorization {
  public:

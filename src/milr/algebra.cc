@@ -19,9 +19,6 @@ namespace {
 // the row-major (N, P) tensors.
 constexpr std::size_t kColumnBlock = 16;
 
-// Same relative singularity threshold as the LU pivot test (linalg/solve.cc).
-constexpr double kSingularRel = 1e-12;
-
 /// Calls block_fn(first, width, columns) for consecutive blocks of up to
 /// kColumnBlock of the P weight columns, in parallel. `columns` is a
 /// zeroed buffer of `width` length-N double vectors back to back, one per

@@ -172,10 +172,9 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 class DctTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DctTest, MatchesExplicitTransformsAndRoundTrips) {
-  // 97 and 131 are primes above Fft::kMaxDirectRadix (Bluestein over a
-  // radix-4 and a radix-4·2 inner FFT); 7, 49 = 7² and 126 = 2·3²·7 take
-  // the direct odd-prime butterfly; 6400 = 4⁴·5² is the mnist dense layer.
-  // Three vectors per call: a pair sharing one complex FFT plus an odd one.
+  // 7, 49 = 7², 97, 126 = 2·3²·7 and 131 have a prime factor above 5 and
+  // go through Bluestein; 6400 = 4⁴·5² is the mnist dense layer. Three
+  // vectors per call check that each is transformed on its own.
   const std::size_t n = GetParam();
   constexpr std::size_t kVectors = 3;
   Prng prng(1000 + n);
